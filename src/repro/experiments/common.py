@@ -13,6 +13,7 @@ knob is exposed for longer runs (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,17 +61,93 @@ class SweepOptions:
             return {}
         return {"telemetry": per_cell_telemetry(self.telemetry, label)}
 
+    def runner_kwargs(self) -> Dict[str, Any]:
+        """The options as ``run_jobs`` keyword arguments."""
+        return dict(jobs=self.jobs, store=self.store, force=self.force,
+                    timeout_s=self.timeout_s, retries=self.retries,
+                    log=self.log, service=self.service)
+
     def execute(self, specs: Sequence[Any]) -> List[Any]:
         """Fan the specs through the runner and return their results in
         spec order."""
         from repro.runner import collect_results, run_jobs
 
-        outcomes = run_jobs(
-            specs, jobs=self.jobs, store=self.store, force=self.force,
-            timeout_s=self.timeout_s, retries=self.retries, log=self.log,
-            service=self.service,
-        )
-        return collect_results(outcomes)
+        return collect_results(run_jobs(specs, **self.runner_kwargs()))
+
+
+def int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type=`` for integer flags with a floor; argparse
+    names the flag in the error and exits with status 2."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected seconds, got {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def execution_flags() -> argparse.ArgumentParser:
+    """The execution flags of every sweep-running CLI, declared once as
+    an argparse parent (``parents=[execution_flags()]``); turn the
+    parsed namespace into options with :func:`sweep_options`."""
+    parser = argparse.ArgumentParser(add_help=False)
+    group = parser.add_argument_group("execution")
+    group.add_argument(
+        "--jobs", type=int_at_least(1), default=None, metavar="N",
+        help="worker processes (default: os.cpu_count(); 1 = in-process "
+             "serial)")
+    group.add_argument(
+        "--force", action="store_true",
+        help="invalidate the cached results of these jobs and re-run")
+    group.add_argument(
+        "--timeout", type=_positive_seconds, default=None,
+        metavar="SECONDS",
+        help="per-job wall-clock timeout; a hung job's worker is killed "
+             "and the job charged one attempt")
+    group.add_argument(
+        "--retries", type=int_at_least(0), default=1, metavar="N",
+        help="re-runs of a job that raises, loses its worker or times "
+             "out before it reports failed (default: 1; see "
+             "EXPERIMENTS.md 'Retries: one failure, one charge')")
+    group.add_argument(
+        "--service", default=None, metavar="URL",
+        help="run the jobs on a sweep coordinator (python -m "
+             "repro.service coordinator) instead of local workers, "
+             "e.g. http://127.0.0.1:8642")
+    group.add_argument(
+        "--results-dir", default=None, metavar="DIR",
+        help="result-store root (default: $REPRO_RESULTS_DIR or "
+             "benchmarks/results); 'none' runs without a store")
+    return parser
+
+
+def sweep_options(
+    ns: argparse.Namespace, log: Optional[Callable[[str], None]] = None
+) -> SweepOptions:
+    """The :class:`SweepOptions` (and result store) that a namespace
+    parsed with :func:`execution_flags` asks for."""
+    from repro.runner.store import open_store
+
+    return SweepOptions(
+        jobs=ns.jobs, store=open_store(ns.results_dir), force=ns.force,
+        timeout_s=ns.timeout, retries=ns.retries, log=log,
+        service=ns.service)
 
 
 @dataclass

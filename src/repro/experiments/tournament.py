@@ -43,7 +43,11 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.common import SweepOptions
+from repro.experiments.common import (
+    SweepOptions,
+    execution_flags,
+    sweep_options,
+)
 from repro.experiments.fabric_sweep import (
     WORKLOADS,
     fabric_config,
@@ -458,6 +462,7 @@ def _csv_ints(text: Optional[str]) -> Tuple[int, ...]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.tournament",
+        parents=[execution_flags()],
         description="Race every registered scheme over the workload x "
                     "topology grid and write the ranked TOURNAMENT.json.",
     )
@@ -488,27 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--validate", action="store_true",
         help="arm the spanning-tree oracle in every cell")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: os.cpu_count())")
-    parser.add_argument(
-        "--force", action="store_true",
-        help="invalidate cached cells and re-run")
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock timeout")
-    parser.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="re-runs per failing cell (default: 1)")
-    parser.add_argument(
-        "--service", default=None, metavar="URL",
-        help="run cells on a sweep coordinator "
-             "(python -m repro.service coordinator) instead of a local "
-             "pool, e.g. http://127.0.0.1:8642")
-    parser.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help="result-store root (default: $REPRO_RESULTS_DIR or "
-             "benchmarks/results)")
     parser.add_argument(
         "--out", default=TOURNAMENT_PATH, metavar="FILE",
         help=f"ranked-artifact path (default: {TOURNAMENT_PATH})")
@@ -545,7 +529,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"--seeds must be comma-separated integers: {exc}",
               file=sys.stderr)
         return 2
-    store = ResultStore(ns.results_dir)
     log = None if ns.quiet else (lambda msg: print(msg, file=sys.stderr))
     try:
         result = run_tournament(
@@ -556,14 +539,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             duration_ns=msec(ns.duration_ms),
             load_scale=ns.load_scale,
             validate=ns.validate,
-            jobs=ns.jobs,
-            store=store,
-            force=ns.force,
-            timeout_s=ns.timeout,
-            retries=ns.retries,
-            log=log,
             fidelity=ns.fidelity,
-            service=ns.service,
+            **sweep_options(ns, log).runner_kwargs(),
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

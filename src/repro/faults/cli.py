@@ -3,7 +3,7 @@
 Commands::
 
     python -m repro.faults soak --cases 20 --seed 0 --jobs 4
-    python -m repro.faults soak --cases 1 --seed 7 --jobs 1 --no-store
+    python -m repro.faults soak --cases 1 --seed 7 --jobs 1 --results-dir none
     python -m repro.faults fig17 --workloads L1->L4 --seeds 1,2
 
 ``soak`` samples random self-restoring fault schedules, runs each
@@ -23,7 +23,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.runner.store import DEFAULT_RESULTS_DIR, RESULTS_DIR_ENV, ResultStore
+from repro.experiments.common import execution_flags, sweep_options
 
 
 def _csv_ints(text: Optional[str]) -> Sequence[int]:
@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     soak = sub.add_parser(
-        "soak", help="random fault schedules x seeds, invariants after each")
+        "soak", parents=[execution_flags()],
+        help="random fault schedules x seeds, invariants after each")
     soak.add_argument("--cases", type=int, default=20, metavar="N",
                       help="number of random (schedule, seed) cases")
     soak.add_argument("--seed", type=int, default=0,
@@ -57,22 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--deadline-ms", type=float, default=500.0,
                       help="horizon by which flows + control plane must "
                            "be done and the sim quiesced")
-    soak.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help="worker processes (default: os.cpu_count())")
-    soak.add_argument("--timeout", type=float, default=None,
-                      metavar="SECONDS", help="per-case wall-clock timeout")
-    soak.add_argument("--force", action="store_true",
-                      help="ignore cached case results and re-run")
-    soak.add_argument("--no-store", action="store_true",
-                      help="skip the result store entirely")
-    soak.add_argument("--service", default=None, metavar="URL",
-                      help="run the soak cases on a sweep coordinator "
-                           "(python -m repro.service coordinator) instead "
-                           "of a local pool")
-    soak.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help=f"results root (default: ${RESULTS_DIR_ENV} or "
-             f"{DEFAULT_RESULTS_DIR})")
     soak.add_argument("--quiet", action="store_true",
                       help="suppress per-case progress lines")
 
@@ -96,12 +81,6 @@ def _cmd_soak(ns: argparse.Namespace) -> int:
     from repro.experiments.harness import format_table
     from repro.units import msec
 
-    if ns.jobs is not None and ns.jobs < 1:
-        print(f"--jobs must be >= 1, got {ns.jobs}", file=sys.stderr)
-        return 2
-    if ns.timeout is not None and ns.timeout <= 0:
-        print(f"--timeout must be positive, got {ns.timeout}", file=sys.stderr)
-        return 2
     if ns.topology is not None:
         from repro.net.fabrics import as_spec
 
@@ -110,7 +89,6 @@ def _cmd_soak(ns: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"bad --topology: {exc}", file=sys.stderr)
             return 2
-    store = None if ns.no_store else ResultStore(ns.results_dir)
     log = None if ns.quiet else (lambda msg: print(msg, file=sys.stderr))
     report = run_soak(
         n_cases=ns.cases,
@@ -119,12 +97,7 @@ def _cmd_soak(ns: argparse.Namespace) -> int:
         deadline_ns=msec(ns.deadline_ms),
         max_faults=ns.max_faults,
         topology=ns.topology,
-        jobs=ns.jobs,
-        store=store,
-        force=ns.force,
-        timeout_s=ns.timeout,
-        log=log,
-        service=ns.service,
+        **sweep_options(ns, log).runner_kwargs(),
     )
     headers = ["case", "schedule", "verdict", "flows", "faults",
                "reactions", "violations"]

@@ -5,7 +5,7 @@ One *case* = a testbed config + a random self-restoring fault schedule
 case runs with hardware fast failover and the modeled control plane
 both live, then :func:`repro.faults.invariants.check_invariants`
 decides pass/fail.  Cases are plain frozen dataclasses, so they ride
-through :mod:`repro.runner` (content-hashed caching, process pool,
+through :mod:`repro.runner` (content-hashed caching, worker pool,
 resume) like any experiment job — ``python -m repro.faults soak``.
 
 Random switch outages draw from the aggregation layers only (spines on
@@ -205,6 +205,7 @@ def run_soak(
     store: Optional[ResultStore] = None,
     force: bool = False,
     timeout_s: Optional[float] = None,
+    retries: int = 1,
     log=None,
     service: Optional[str] = None,
 ) -> SoakReport:
@@ -221,7 +222,8 @@ def run_soak(
         for i, case in enumerate(cases)
     ]
     outcomes = run_jobs(specs, jobs=jobs, store=store, force=force,
-                        timeout_s=timeout_s, log=log, service=service)
+                        timeout_s=timeout_s, retries=retries, log=log,
+                        service=service)
     results = [o.result if o.ok else None for o in outcomes]
     errors = [o.error if not o.ok else None for o in outcomes]
     return SoakReport(base_seed=base_seed, cases=cases,

@@ -9,10 +9,10 @@ parallel and cacheable.  This package provides the three layers:
     kwargs) triple with a stable content hash.
 
 ``run_jobs`` (:mod:`repro.runner.pool`)
-    A ``concurrent.futures`` process-pool executor with per-job
-    wall-clock timeouts, bounded retry with reseeded-worker backoff on
-    crashed/hung workers, and graceful degradation to in-process serial
-    execution when ``jobs=1`` or fork is unavailable.
+    Forked worker processes, one job each at a time, with per-job
+    wall-clock timeouts and bounded retry charged to exactly the job a
+    crashed or hung worker held, and graceful degradation to
+    in-process serial execution when ``jobs=1`` or fork is unavailable.
 
 ``ResultStore``
     Persists each job's structured result as JSON under

@@ -23,8 +23,9 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
+from repro.experiments.common import execution_flags, sweep_options
 from repro.runner.serialize import to_jsonable
-from repro.runner.store import DEFAULT_RESULTS_DIR, RESULTS_DIR_ENV, ResultStore
+from repro.runner.store import ResultStore
 
 
 def _csv_strs(text: Optional[str]) -> Sequence[str]:
@@ -45,37 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the available sweeps")
 
-    run = sub.add_parser("run", help="run one sweep through the job pool")
+    run = sub.add_parser("run", parents=[execution_flags()],
+                         help="run one sweep through the job pool")
     run.add_argument(
         "sweep", nargs="?", default=None,
         help="sweep name (see `list`); defaults to 'fabric' when "
              "--topology is given",
-    )
-    run.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: os.cpu_count(); 1 = in-process "
-             "serial)",
-    )
-    run.add_argument(
-        "--force", action="store_true",
-        help="invalidate cached results for this sweep's jobs and re-run",
-    )
-    run.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock timeout; a hung job is killed, retried "
-             "once, then reported failed",
-    )
-    run.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="how many times a job that raises (or times out) is re-run "
-             "before it reports failed (default: 1; see EXPERIMENTS.md "
-             "'Retries, restarts and backoff')",
-    )
-    run.add_argument(
-        "--service", default=None, metavar="URL",
-        help="run the sweep's jobs on a sweep coordinator "
-             "(python -m repro.service coordinator) instead of a local "
-             "pool, e.g. http://127.0.0.1:8642",
     )
     run.add_argument(
         "--schemes", default=None,
@@ -110,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--measure-ms", type=float, default=25.0,
         help="measurement window, in simulated ms",
-    )
-    run.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help=f"results root (default: ${RESULTS_DIR_ENV} or "
-             f"{DEFAULT_RESULTS_DIR})",
     )
     run.add_argument(
         "--trace", action="store_true",
@@ -230,15 +201,6 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"bad --topology: {exc}", file=sys.stderr)
             return 2
-    if ns.jobs is not None and ns.jobs < 1:
-        print(f"--jobs must be >= 1, got {ns.jobs}", file=sys.stderr)
-        return 2
-    if ns.timeout is not None and ns.timeout <= 0:
-        print(f"--timeout must be positive, got {ns.timeout}", file=sys.stderr)
-        return 2
-    if ns.retries < 0:
-        print(f"--retries must be >= 0, got {ns.retries}", file=sys.stderr)
-        return 2
     try:
         points = _csv_ints(ns.points) or tuple(sweep.default_points)
         seeds = _csv_ints(ns.seeds)
@@ -266,7 +228,14 @@ def _cmd_run(ns: argparse.Namespace) -> int:
                   f"pick from {', '.join(SCHEMES)}", file=sys.stderr)
             return 2
 
-    store = ResultStore(ns.results_dir)
+    log = None if ns.quiet else (lambda msg: print(msg, file=sys.stderr))
+    opts = sweep_options(ns, log)
+    store = opts.store
+    if store is None and (ns.trace or ns.metrics_out):
+        print("--trace/--metrics-out keep their output in the result "
+              "store; they cannot run with --results-dir none",
+              file=sys.stderr)
+        return 2
     telemetry = None
     if ns.trace or ns.metrics_out:
         from repro.telemetry import TelemetryConfig
@@ -276,7 +245,6 @@ def _cmd_run(ns: argparse.Namespace) -> int:
             trace=bool(ns.trace),
             trace_dir=os.path.join(store.root, "traces") if ns.trace else None,
         )
-    log = None if ns.quiet else (lambda msg: print(msg, file=sys.stderr))
     extra = {}
     if sweep.accepts_topology:
         extra = {"topologies": tuple(ns.topology or ()),
@@ -287,19 +255,15 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         seeds,
         msec(ns.warm_ms),
         msec(ns.measure_ms),
-        jobs=ns.jobs,
-        store=store,
-        force=ns.force,
-        timeout_s=ns.timeout,
-        retries=ns.retries,
-        log=log,
         telemetry=telemetry,
         fidelity=ns.fidelity,
-        service=ns.service,
+        **opts.runner_kwargs(),
         **extra,
     )
     table = format_table(report.headers, report.rows)
     print(table)
+    if store is None:
+        return 0
 
     os.makedirs(store.root, exist_ok=True)
     txt_path = os.path.join(store.root, f"runner_{report.name}.txt")

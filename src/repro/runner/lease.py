@@ -1,20 +1,14 @@
-"""Lease-based job accounting shared by the pool and the sweep service.
+"""Lease-based job accounting shared by the worker pool and the service.
 
-Both executors — the in-process :mod:`repro.runner.pool` and the HTTP
-coordinator in :mod:`repro.service` — face the same bookkeeping
-problem: a queue of jobs, each "checked out" by some worker for a
-while, where workers can crash, hang or vanish.  :class:`LeaseQueue`
-is that bookkeeping, with the retry-budget rules the pool pioneered:
-
-* ``fail`` (the job itself raised, or timed out under a per-job
-  deadline) **charges** the retry budget; the job requeues at the back
-  until the budget is spent, then reports failed.
-* ``release`` (the *executor* failed — worker process died under the
-  pool, a service lease expired because its worker was SIGKILLed or
-  partitioned) requeues at the *front* **without charging** the
-  budget: the job did nothing wrong.  A per-job expiry cap
-  (``max_releases``) stops a job that somehow kills every worker it
-  touches from cycling forever.
+Both executors — the forked workers of :mod:`repro.runner.pool` and
+the HTTP coordinator in :mod:`repro.service` — face the same
+bookkeeping problem: a queue of jobs, each "checked out" by one worker
+for a while, where workers can crash, hang or vanish.
+:class:`LeaseQueue` is that bookkeeping, with one rule: a failure is
+charged to exactly the lease its worker held.  ``fail`` — the job
+raised, its worker died, or its lease passed its deadline — charges
+that job's retry budget; the job requeues at the back until the budget
+is spent, then reports failed.  Nothing else is requeued.
 
 The queue is deliberately synchronous and lock-free; callers that need
 thread safety (the HTTP coordinator) hold their own lock around it.
@@ -27,10 +21,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
-
-#: default cap on uncharged requeues before a job is declared cursed
-DEFAULT_MAX_RELEASES = 8
-
 
 @dataclass
 class Lease:
@@ -59,24 +49,19 @@ class _Entry:
     index: int
     spec: Any
     attempts: int  # completed attempts so far (0 before the first claim)
-    releases: int  # uncharged requeues so far
 
 
 class LeaseQueue:
-    """Pending jobs + in-flight leases + the retry/release budget rules."""
+    """Pending jobs + in-flight leases + the retry budget rule."""
 
     def __init__(
         self,
         retries: int = 1,
-        max_releases: int = DEFAULT_MAX_RELEASES,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if max_releases < 1:
-            raise ValueError(f"max_releases must be >= 1, got {max_releases}")
         self.retries = retries
-        self.max_releases = max_releases
         self._clock = clock
         self._pending: Deque[_Entry] = deque()
         self._leases: Dict[str, Lease] = {}
@@ -112,7 +97,7 @@ class LeaseQueue:
 
     def add(self, index: int, spec: Any, attempts: int = 0) -> None:
         """Enqueue a job at the back of the pending queue."""
-        self._pending.append(_Entry(index, spec, attempts, 0))
+        self._pending.append(_Entry(index, spec, attempts))
 
     def claim(
         self, worker: str = "", ttl_s: Optional[float] = None
@@ -120,7 +105,7 @@ class LeaseQueue:
         """Check out the next pending job, charging one attempt.
 
         Returns None when nothing is pending.  ``ttl_s`` sets the lease
-        deadline; expired leases surface via :meth:`expire`.
+        deadline; expired leases surface via :meth:`expired`.
         """
         if not self._pending:
             return None
@@ -155,7 +140,8 @@ class LeaseQueue:
         return lease
 
     def fail(self, lease_id: str) -> Tuple[str, Optional[Lease]]:
-        """The job itself failed: charge the budget, retry or give up.
+        """The lease's job failed (raised, lost its worker, or expired):
+        charge its budget, then retry or give up.
 
         Returns ``("retry", lease)`` when the job requeued (at the
         back), ``("failed", lease)`` when its budget is spent, or
@@ -170,42 +156,7 @@ class LeaseQueue:
             return ("retry", lease)
         return ("failed", lease)
 
-    def release(self, lease_id: str) -> Tuple[str, Optional[Lease]]:
-        """The *executor* failed: requeue at the front, budget uncharged.
-
-        Returns ``("requeued", lease)`` normally, ``("failed", lease)``
-        once the job has been released ``max_releases`` times (a job
-        that takes down every worker it meets must not spin forever),
-        or ``("stale", None)``.
-        """
-        lease = self._leases.pop(lease_id, None)
-        entry = self._entries.pop(lease_id, None)
-        if lease is None or entry is None:
-            return ("stale", None)
-        entry.attempts -= 1  # this attempt never counts
-        entry.releases += 1
-        if entry.releases >= self.max_releases:
-            entry.attempts += 1  # report the true attempt count
-            return ("failed", lease)
-        self._pending.appendleft(entry)
-        return ("requeued", lease)
-
-    def release_all(self) -> List[Tuple[str, Lease]]:
-        """Release every in-flight lease (pool restart): front-queued,
-        uncharged, earliest claim ending up first.  Returns each lease
-        with its :meth:`release` status (``"failed"`` once a job hits
-        the release cap)."""
-        out = []
-        for lease_id in sorted(
-            self._leases, key=lambda lid: self._leases[lid].started,
-            reverse=True,
-        ):
-            status, lease = self.release(lease_id)
-            if lease is not None:
-                out.append((status, lease))
-        return out
-
     def expired(self, now: Optional[float] = None) -> List[Lease]:
-        """In-flight leases past their deadline (not yet released)."""
+        """In-flight leases past their deadline (not yet failed)."""
         now = self._clock() if now is None else now
         return [l for l in self._leases.values() if l.expired(now)]

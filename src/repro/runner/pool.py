@@ -1,26 +1,26 @@
-"""Process-pool job execution with timeouts, retries and resume.
+"""Worker-process job execution with timeouts, retries and resume.
 
 ``run_jobs`` is the single entry point every sweep goes through:
 
-* ``jobs > 1`` (and fork available): a ``concurrent.futures``
-  ``ProcessPoolExecutor`` with a sliding submission window of at most
-  ``jobs`` in-flight futures, so each job's submit time is its start
-  time and per-job wall-clock timeouts are meaningful.
-* ``jobs = 1`` or no fork: the same semantics in-process (no pool, no
-  pickling overhead); per-job timeouts cannot be enforced without
+* ``jobs > 1`` (and fork available): ``jobs`` forked worker processes,
+  each holding at most one :class:`~repro.runner.lease.LeaseQueue`
+  lease and talking to the parent over its own pipe.  The parent
+  waits on every pipe and process sentinel, with the nearest lease
+  deadline as its timeout.
+* ``jobs = 1`` or no fork: the same semantics in-process (no workers,
+  no pickling overhead); per-job timeouts cannot be enforced without
   preemption and are ignored with a log note.
 
-Failure handling: a job whose worker raises is retried up to
-``retries`` times; a worker that *dies* (segfault, ``os._exit``) or
-*hangs* past ``timeout_s`` poisons the whole executor, so the pool is
-torn down (hung workers are killed), surviving in-flight jobs are
-requeued without charging their retry budget, and a fresh executor is
-spawned after an exponential backoff.  A job that exhausts its budget
-is reported as failed in its outcome — it never kills the sweep.  The
-queue/budget bookkeeping lives in :class:`repro.runner.lease.LeaseQueue`,
-shared with the distributed coordinator (:mod:`repro.service`); the
-full retry/restart/backoff contract is documented in EXPERIMENTS.md
-("Retries, restarts and backoff").
+Failure handling has one rule: a failure is charged to exactly the
+lease its worker held, and nothing else is requeued.  A job that
+raises, a worker that dies (segfault, ``os._exit``) and a worker
+killed for running past ``timeout_s`` each charge that one job's
+retry budget; the job requeues until ``retries`` is spent, then
+reports failed in its outcome — it never kills the sweep.  A dead or
+killed worker is replaced by a fresh fork; every other in-flight job
+keeps running untouched.  The same rule governs the distributed
+coordinator (:mod:`repro.service`); it is documented in EXPERIMENTS.md
+("Retries: one failure, one charge").
 
 ``run_jobs(..., service="http://host:port")`` hands the non-cached
 jobs to a sweep coordinator instead of a local pool: specs are
@@ -38,9 +38,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.jobspec import JobSpec
@@ -52,11 +51,6 @@ from repro.runner.store import ResultStore
 STATUS_OK = "ok"
 STATUS_CACHED = "cached"
 STATUS_FAILED = "failed"
-
-_BACKOFF_BASE_S = 0.25
-_BACKOFF_CAP_S = 5.0
-#: floor for the poll interval while watching in-flight futures
-_MIN_POLL_S = 0.05
 
 Logger = Optional[Callable[[str], None]]
 
@@ -120,8 +114,10 @@ def run_jobs(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if timeout_s is not None and timeout_s <= 0:
         # A non-positive timeout would mark every in-flight job timed
-        # out on the first poll and thrash pool restarts forever.
+        # out on the first poll.
         raise ValueError(f"timeout_s must be positive, got {timeout_s}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
 
     def _log(msg: str) -> None:
         if log is not None:
@@ -233,20 +229,42 @@ def _run_serial(
             break
 
 
-# --- process pool ------------------------------------------------------------
+# --- worker processes ------------------------------------------------------
 
 
-def _kill_executor(executor: ProcessPoolExecutor) -> None:
-    """Tear an executor down even if its workers are hung."""
-    processes = list((getattr(executor, "_processes", None) or {}).values())
-    for proc in processes:
-        proc.terminate()
-    executor.shutdown(wait=False, cancel_futures=True)
-    for proc in processes:
-        proc.join(timeout=2.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=2.0)
+def _worker_loop(conn: Connection) -> None:
+    """Forked worker: run each payload the parent sends and reply with
+    ``(True, result)`` or ``(False, error text)``; ``None`` means stop."""
+    for payload in iter(conn.recv, None):
+        try:
+            reply = (True, _execute_payload(payload))
+        except Exception as exc:  # noqa: BLE001 — reported, not fatal
+            reply = (False, f"{type(exc).__name__}: {exc}")
+        conn.send(reply)
+
+
+@dataclass
+class _Worker:
+    """One forked worker process, its pipe, and the lease it holds."""
+
+    proc: Any
+    conn: Connection
+    lease: Optional[Lease] = None
+
+    def stop(self) -> None:
+        """Ask an idle worker to exit; kill a busy (hung or dead) one."""
+        if self.lease is None:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+        else:
+            self.proc.kill()
+        self.proc.join(timeout=2.0)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join()
+        self.conn.close()
 
 
 def _run_pool(
@@ -260,102 +278,89 @@ def _run_pool(
     log: Callable[[str], None],
 ) -> None:
     ctx = multiprocessing.get_context("fork")
-
-    def new_executor() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
-
     queue = LeaseQueue(retries=retries)
     for index, spec in todo:
         queue.add(index, spec)
-    executor = new_executor()
-    in_flight: Dict[Any, Lease] = {}  # future -> lease
-    restarts = 0
+    workers: List[_Worker] = []
 
-    def finish_failed(lease: Lease, err: str) -> None:
-        finish(lease.index, JobOutcome(
-            spec=lease.spec, status=STATUS_FAILED, error=err,
-            attempts=lease.attempts,
-            elapsed_s=time.monotonic() - lease.started,
-        ))
+    def spawn() -> _Worker:
+        conn, child = ctx.Pipe()
+        proc = ctx.Process(target=_worker_loop, args=(child,), daemon=True)
+        proc.start()
+        child.close()
+        workers.append(_Worker(proc, conn))
+        return workers[-1]
 
-    def fail_or_retry(lease: Lease, err: str) -> None:
+    def fail(lease: Lease, err: str) -> None:
         status, _ = queue.fail(lease.lease_id)
         if status == "retry":
             log(f"retrying {lease.spec.display} "
                 f"(attempt {lease.attempts + 1}/{retries + 1}): {err}")
-        elif status == "failed":
-            finish_failed(lease, err)
+        else:
+            finish(lease.index, JobOutcome(
+                spec=lease.spec, status=STATUS_FAILED, error=err,
+                attempts=lease.attempts,
+                elapsed_s=time.monotonic() - lease.started,
+            ))
+
+    def retire(worker: _Worker, err: str) -> None:
+        """Stop a dead or hung worker; only the lease it held is charged.
+        Its slot is refilled by a fresh fork when work is next handed out."""
+        workers.remove(worker)
+        worker.stop()
+        if worker.lease is not None:
+            fail(worker.lease, err)
+
+    def settle(worker: _Worker) -> None:
+        try:
+            ok, value = worker.conn.recv()
+        except (EOFError, OSError):
+            retire(worker, "worker process died")
+            return
+        lease, worker.lease = worker.lease, None
+        if not ok:
+            fail(lease, value)
+            return
+        queue.complete(lease.lease_id)
+        elapsed = time.monotonic() - lease.started
+        if store is not None:
+            store.save(lease.spec, value, elapsed, lease.attempts)
+        finish(lease.index, JobOutcome(
+            spec=lease.spec, status=STATUS_OK, result=from_jsonable(value),
+            attempts=lease.attempts, elapsed_s=elapsed,
+        ))
 
     try:
         while not queue.idle:
-            while queue.pending and len(in_flight) < jobs:
-                lease = queue.claim(ttl_s=timeout_s)
-                future = executor.submit(
-                    _execute_payload, to_jsonable(lease.spec))
-                in_flight[future] = lease
-
-            now = time.monotonic()
-            poll: Optional[float] = None
-            if timeout_s is not None and in_flight:
-                nearest = min(l.deadline for l in in_flight.values())
-                poll = max(_MIN_POLL_S, nearest - now)
-            done, _ = wait(set(in_flight), timeout=poll,
-                           return_when=FIRST_COMPLETED)
-
-            broken = False
-            for future in done:
-                lease = in_flight.pop(future)
+            while queue.pending:
+                worker = next((w for w in workers if w.lease is None), None)
+                if worker is None:
+                    if len(workers) >= jobs:
+                        break
+                    worker = spawn()
+                worker.lease = queue.claim(ttl_s=timeout_s)
                 try:
-                    payload = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    fail_or_retry(lease, "worker process died")
-                    continue
-                except Exception as exc:  # noqa: BLE001 — contained per job
-                    fail_or_retry(lease, f"{type(exc).__name__}: {exc}")
-                    continue
-                queue.complete(lease.lease_id)
-                elapsed = time.monotonic() - lease.started
-                if store is not None:
-                    store.save(lease.spec, payload, elapsed, lease.attempts)
-                finish(lease.index, JobOutcome(
-                    spec=lease.spec, status=STATUS_OK,
-                    result=from_jsonable(payload),
-                    attempts=lease.attempts, elapsed_s=elapsed,
-                ))
+                    worker.conn.send(to_jsonable(worker.lease.spec))
+                except OSError:
+                    retire(worker, "worker process died")
 
+            busy = [w for w in workers if w.lease is not None]
+            if not busy:
+                continue
+            poll = None
             if timeout_s is not None:
-                # a wedged worker holds its process hostage: only a
-                # pool restart can reclaim it, and the timed-out job
-                # itself is charged (it may be the reason it hangs)
-                expired = {l.lease_id for l in queue.expired()}
-                if expired:
-                    broken = True
-                    for future, lease in list(in_flight.items()):
-                        if lease.lease_id in expired:
-                            del in_flight[future]
-                            fail_or_retry(
-                                lease, f"timed out after {timeout_s:.1f}s")
-
-            if broken:
-                # Requeue the innocent bystanders at the front, without
-                # charging their retry budget, then restart on fresh
-                # (reseeded) workers after a backoff.
-                for status, lease in queue.release_all():
-                    if status == "failed":
-                        finish_failed(
-                            lease,
-                            f"requeued {queue.max_releases} times by pool "
-                            "restarts without completing")
-                in_flight.clear()
-                _kill_executor(executor)
-                delay = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2 ** restarts))
-                restarts += 1
-                log(f"worker pool restarted (#{restarts}); "
-                    f"backing off {delay:.2f}s")
-                time.sleep(delay)
-                executor = new_executor()
-        executor.shutdown(wait=True)
-    except BaseException:
-        _kill_executor(executor)
-        raise
+                nearest = min(w.lease.deadline for w in busy)
+                poll = max(0.0, nearest - time.monotonic())
+            ready = set(wait([w.conn for w in busy]
+                             + [w.proc.sentinel for w in workers], poll))
+            for worker in list(workers):
+                if worker.conn in ready:
+                    settle(worker)
+                elif worker.proc.sentinel in ready:
+                    retire(worker, "worker process died")
+            for lease in queue.expired():
+                worker = next(w for w in workers if w.lease is lease)
+                retire(worker, f"timed out after {timeout_s:.1f}s")
+    finally:
+        for worker in workers:
+            worker.stop()

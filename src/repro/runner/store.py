@@ -157,3 +157,11 @@ class ResultStore:
             return 0
         return sum(1 for name in os.listdir(self.store_dir)
                    if name.endswith(".json"))
+
+
+def open_store(results_dir: Optional[str]) -> Optional[ResultStore]:
+    """``ResultStore(results_dir)``, or None for the literal ``none`` —
+    the one way every CLI says "run without a store"."""
+    if (results_dir or "").lower() == "none":
+        return None
+    return ResultStore(results_dir)

@@ -2,10 +2,9 @@
 
 Mirrors the tournament CLI's artifact contract: ``run`` writes (or,
 with ``--check``, byte-compares) the committed ``SEARCH.json``;
-``--markdown`` adds the human report.  Every runner execution flag
-(``--jobs``, ``--force``, ``--results-dir``, ``--service``,
-``--timeout``, ``--retries``) passes straight through to the fitness
-sweeps.
+``--markdown`` adds the human report.  The shared execution flags
+(:func:`repro.experiments.common.execution_flags`) pass straight
+through to the fitness sweeps.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
-from repro.runner import ResultStore
+from repro.experiments.common import execution_flags, sweep_options
 from repro.search.driver import (
     PRESETS,
     SearchSettings,
@@ -44,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     lister.set_defaults(command="list")
 
     run = sub.add_parser(
-        "run",
+        "run", parents=[execution_flags()],
         help="run a search and write (or --check) SEARCH.json")
     run.add_argument(
         "--preset", default="paper", choices=sorted(PRESETS),
@@ -71,27 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--fidelity", choices=("packet", "flow"), default=None,
         help="fitness-cell engine fidelity (default: the preset's)")
-    run.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: serial)")
-    run.add_argument(
-        "--force", action="store_true",
-        help="invalidate cached fitness cells and re-run")
-    run.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock timeout")
-    run.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="re-runs per failing cell (default: 1)")
-    run.add_argument(
-        "--service", default=None, metavar="URL",
-        help="evaluate fitness cells on a sweep coordinator "
-             "(python -m repro.service coordinator) instead of a "
-             "local pool, e.g. http://127.0.0.1:8642")
-    run.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help="result-store root (default: $REPRO_RESULTS_DIR or "
-             "benchmarks/results)")
     run.add_argument(
         "--out", default=SEARCH_PATH, metavar="FILE",
         help=f"artifact path (default: {SEARCH_PATH})")
@@ -134,19 +112,10 @@ def _run(ns) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    store = ResultStore(ns.results_dir)
     log = None if ns.quiet else (lambda msg: print(msg, file=sys.stderr))
     try:
         result, stats = run_search(
-            settings,
-            jobs=ns.jobs,
-            store=store,
-            force=ns.force,
-            timeout_s=ns.timeout,
-            retries=ns.retries,
-            log=log,
-            service=ns.service,
-        )
+            settings, **sweep_options(ns, log).runner_kwargs())
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -1,6 +1,6 @@
 """Sweep-as-a-service: coordinator/worker execution for paper sweeps.
 
-The process pool in :mod:`repro.runner.pool` parallelizes a sweep
+The worker pool in :mod:`repro.runner.pool` parallelizes a sweep
 across one machine's cores; this package stretches the same job model
 across machines with nothing but the standard library (``http.server``
 + ``urllib``):
@@ -9,8 +9,8 @@ across machines with nothing but the standard library (``http.server``
   (the exact class the pool uses), the
   :class:`~repro.runner.store.ResultStore` and the dashboard;
 * **workers** — poll ``/claim`` for leases, execute through the same
-  ``_execute_payload`` entry the pool forks, heartbeat while running,
-  and ``POST /complete`` their results;
+  ``_execute_payload`` entry the pool's workers run, heartbeat while
+  running, and ``POST /complete`` their results;
 * **clients** — any ``run_jobs(..., service=URL)`` caller, including
   every sweep/validate/faults CLI via ``--service``.  The parameter
   search (``python -m repro.search run --service URL``) is the
@@ -20,10 +20,10 @@ across machines with nothing but the standard library (``http.server``
   workers) absorbs the halving ladder's structural re-submissions.
 
 A worker that dies mid-job simply stops heartbeating; its lease
-expires and the job requeues *without* charging its retry budget —
-the distributed twin of the pool's innocent-bystander rule.  Results
-land in the coordinator's store byte-identical (modulo timestamps) to
-a local ``run_jobs`` run of the same specs.
+expires and that one job is charged a retry, exactly as the pool
+charges the job a dead local worker held.  Nothing else is requeued.
+Results land in the coordinator's store byte-identical (modulo
+timestamps) to a local ``run_jobs`` run of the same specs.
 
 Start with ``python -m repro.service coordinator`` and see
 EXPERIMENTS.md "Sweep-as-a-service" for the full workflow.

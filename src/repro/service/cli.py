@@ -28,6 +28,7 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.experiments.common import int_at_least
 from repro.service import protocol
 from repro.service.protocol import ServiceError, request_json
 
@@ -49,13 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="ResultStore root (default: benchmarks/results or "
              "$REPRO_RESULTS_DIR); 'none' disables the store")
     coord.add_argument(
-        "--retries", type=int, default=1,
-        help="per-job retry budget for worker-reported failures "
-             "(lease expiries are not charged; default 1)")
+        "--retries", type=int_at_least(0), default=1,
+        help="per-job retry budget; a reported failure and an expired "
+             "lease each charge one attempt (default 1)")
     coord.add_argument(
         "--lease-ttl", type=float, default=protocol.DEFAULT_LEASE_TTL_S,
         metavar="S",
-        help="seconds without a heartbeat before a lease is requeued "
+        help="seconds without a heartbeat before a lease expires and "
+             "its job is charged "
              f"(default {protocol.DEFAULT_LEASE_TTL_S:g})")
     coord.add_argument(
         "--max-queue", type=int, default=protocol.DEFAULT_MAX_QUEUE,
@@ -106,12 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coordinator(ns: argparse.Namespace) -> int:
-    from repro.runner.store import ResultStore
+    from repro.runner.store import open_store
     from repro.service.coordinator import serve
 
-    store = None
-    if (ns.results_dir or "").lower() != "none":
-        store = ResultStore(ns.results_dir)
+    store = open_store(ns.results_dir)
     log = (lambda msg: None) if ns.quiet else \
         (lambda msg: print(msg, flush=True))
     coordinator, server = serve(

@@ -4,14 +4,13 @@
 heartbeat, complete, expire — guarded by one lock so the threading
 HTTP server can hit it from many connections.  The queue/retry-budget
 bookkeeping is the same :class:`repro.runner.lease.LeaseQueue` the
-process pool uses:
-
-* a worker that reports a job *raised* charges that job's retry
-  budget (it requeues until ``retries`` is spent, then fails);
-* a lease that *expires* — the worker was SIGKILLed, hung or
-  partitioned away — requeues the job at the front **without**
-  charging its budget, exactly like the pool's innocent-bystander
-  rule on a pool restart.
+local worker pool uses, with its one rule:
+a failure is charged to exactly the lease its worker held.  A worker
+that reports its job *raised*, and a lease that *expires* (the worker
+was SIGKILLed, hung or partitioned away), both charge that one job's
+retry budget: it requeues at the back until ``retries`` is spent, then
+fails.  Nothing else is requeued — the rule the local worker pool
+applies when one of its workers dies or times out.
 
 Completed results are written to the coordinator's
 :class:`~repro.runner.store.ResultStore` through the same
@@ -32,7 +31,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.runner.jobspec import JobSpec
-from repro.runner.lease import DEFAULT_MAX_RELEASES, LeaseQueue
+from repro.runner.lease import LeaseQueue
 from repro.runner.serialize import from_jsonable
 from repro.runner.store import ResultStore
 from repro.service import protocol
@@ -114,7 +113,6 @@ class SweepCoordinator:
         retries: int = 1,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        max_releases: int = DEFAULT_MAX_RELEASES,
         log: Optional[Callable[[str], None]] = None,
     ) -> None:
         if lease_ttl_s <= 0:
@@ -127,7 +125,7 @@ class SweepCoordinator:
         self.max_queue = max_queue
         self._log = log or (lambda msg: None)
         self._lock = threading.Lock()
-        self._queue = LeaseQueue(retries=retries, max_releases=max_releases)
+        self._queue = LeaseQueue(retries=retries)
         self._jobs: Dict[str, _Job] = {}
         self._workers: Dict[str, _Worker] = {}
         self._completions: List[float] = []  # wall stamps, pruned to window
@@ -270,9 +268,9 @@ class SweepCoordinator:
     ) -> bool:
         """A worker finished (or failed) its leased job.
 
-        Returns False for a stale lease — it expired and the job was
-        requeued to someone else, so this attempt's result is dropped
-        (the replacement attempt owns the job now)."""
+        Returns False for a stale lease — it expired and was charged,
+        so this attempt's result is dropped (a retry, if the budget
+        allowed one, owns the job now)."""
         with self._lock:
             self._expire_leases()
             self._touch_worker(worker)
@@ -332,30 +330,33 @@ class SweepCoordinator:
         info.last_seen_unix = time.time()
 
     def _expire_leases(self) -> None:
-        """Requeue jobs whose lease lapsed — uncharged, like the pool's
-        innocent-bystander rule.  Called under the lock from every
-        public entry point, so expiry needs no background thread."""
+        """Charge jobs whose lease lapsed, exactly as if their worker
+        had reported a failure.  Called under the lock from every public
+        entry point, so expiry needs no background thread."""
         for lease in self._queue.expired():
-            status, _ = self._queue.release(lease.lease_id)
-            job = self._jobs.get(lease.index)
+            status, _ = self._queue.fail(lease.lease_id)
             self.counters["leases_expired"].inc()
             winfo = self._workers.get(lease.worker)
             if winfo is not None and winfo.current_job == lease.index:
                 winfo.current_job = None
+            job = self._jobs.get(lease.index)
             if job is None:
                 continue
-            if status == "failed":
-                job.status = FAILED
-                job.error = (f"lease expired {self._queue.max_releases} "
-                             "times without a completion")
-                job.finished_unix = time.time()
-                self.counters["jobs_failed"].inc()
-                self._log(f"gave up on {job.label}: {job.error}")
-            else:
+            job.error = (f"lease expired (worker {lease.worker} stopped "
+                         "heartbeating)")
+            if status == "retry":
                 job.status = QUEUED
                 job.worker = ""
-                self._log(f"lease {lease.lease_id} on {job.label} expired "
-                          f"(worker {lease.worker}); requeued uncharged")
+                self._log(f"lease {lease.lease_id} on {job.label} expired; "
+                          f"retrying (attempt {lease.attempts + 1}/"
+                          f"{self.retries + 1})")
+            else:
+                job.status = FAILED
+                job.attempts = lease.attempts
+                job.finished_unix = time.time()
+                self.counters["jobs_failed"].inc()
+                self._log(f"failed {job.label} after {lease.attempts} "
+                          f"attempt(s): {job.error}")
 
     def _prune_timeline(self) -> None:
         cutoff = time.time() - TIMELINE_WINDOW_S

@@ -2,7 +2,7 @@
 
 Everything rides JSON over HTTP/1.1 (stdlib ``http.server`` +
 ``urllib``; no new dependencies).  Job payloads are the exact
-``to_jsonable(JobSpec)`` dicts the process pool pickles — the worker
+``to_jsonable(JobSpec)`` dicts the local worker pool pickles — the worker
 feeds them to the same ``_execute_payload`` entry, so a job's result
 bytes do not depend on where it ran.
 

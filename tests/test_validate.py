@@ -299,7 +299,12 @@ def test_cli_list_names_all_oracles(capsys):
     (["run", "--all", "--seeds", "1,x"], "integers"),
 ])
 def test_cli_run_rejects_bad_arguments(argv, fragment, capsys):
-    assert validate_main(argv) == 2
+    # bad flag values exit through argparse, the rest return 2
+    try:
+        status = validate_main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    assert status == 2
     assert fragment in capsys.readouterr().err
 
 

@@ -17,12 +17,15 @@ a worst-FCT top-k.
 ``validate=True`` arms the spanning-tree oracle inside each cell:
 :func:`repro.net.routing.validate_trees` checks every tree reaches
 every host and that trunk links stay disjoint across trees before any
-traffic is offered.
+traffic is offered.  It also arms the engine's always-on invariants
+(``TestbedConfig.validate``) for the cell's run — at flow fidelity the
+capacity, byte-ledger and path-reuse checks — without changing the
+job's config or its store hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import SweepOptions
@@ -102,6 +105,8 @@ def run_fabric_cell(
     if workload not in WORKLOADS:
         raise ValueError(
             f"unknown fabric workload {workload!r}; pick from {WORKLOADS}")
+    if validate:
+        cfg = replace(cfg, validate=True)
     tb = Testbed(cfg, telemetry=telemetry)
     trees_validated = False
     if validate:

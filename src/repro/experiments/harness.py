@@ -274,8 +274,7 @@ class Testbed:
         self.hosts: List[Host] = []
         self._build_hosts()
         self.controller = PrestoController(self.topo)
-        for host in self.hosts:
-            self.controller.register_vswitch(host.lb)
+        self.controller.register_vswitch(*(host.lb for host in self.hosts))
         self.topo.install_underlay(
             leaf_hash_mode=self.scheme_def.leaf_hash_mode)
         self.apps: List[object] = []

@@ -52,6 +52,7 @@ def max_min_allocation(
         return rates
 
     link_flows: Dict[Hashable, List[int]] = {}
+    flow_links: List[List[Hashable]] = []
     demands: List[Optional[float]] = []
     weights: List[float] = []
     for i, (links, weight, demand) in enumerate(flows):
@@ -61,98 +62,91 @@ def max_min_allocation(
             raise ValueError(f"flow {i}: demand must be >= 0, got {demand}")
         weights.append(float(weight))
         demands.append(None if demand is None else float(demand))
-        for link in set(links):
+        unique = list(set(links))
+        flow_links.append(unique)
+        for link in unique:
             if link not in capacity:
                 raise ValueError(f"flow {i}: unknown link {link!r}")
             link_flows.setdefault(link, []).append(i)
 
     remaining: Dict[Hashable, float] = {}
+    caps: Dict[Hashable, float] = {}
     for link in link_flows:
         cap = float(capacity[link])
         if cap < 0:
             raise ValueError(f"link {link!r}: capacity must be >= 0, got {cap}")
-        remaining[link] = cap
+        remaining[link] = caps[link] = cap
 
-    # Links iterated in a stable sorted order so every reduction below
-    # is independent of dict insertion order (permutation invariance).
-    ordered_links = sorted(link_flows, key=repr)
-
+    # Each link's active weight is cached and re-reduced only when one
+    # of its flows freezes.  Weight sums are computed over *sorted*
+    # weight values: addition is not associative in floats, and this
+    # keeps the sum — hence the whole allocation — order independent.
+    # Live links (sum > 0, i.e. crossed by an active flow) are kept in a
+    # stable sorted order, so every tie-break below is independent of
+    # dict insertion order (permutation invariance).
     active = [True] * n
-    n_active = n
-    while n_active:
+    wsum = {link: _active_weight(members, active, weights)
+            for link, members in link_flows.items()}
+    live_links = sorted(link_flows, key=repr)
+    live = list(range(n))
+    capped = [i for i in live if demands[i] is not None]
+    while live:
         # Largest uniform time step `dt` such that raising every active
         # flow by weight*dt neither oversubscribes a link nor overshoots
-        # a demand.  Weight sums are computed over *sorted* weight
-        # values: addition is not associative in floats, and this keeps
-        # the sum — hence the whole allocation — order independent.
+        # a demand.
         dt = None
-        for link in ordered_links:
-            wsum = _active_weight(link_flows[link], active, weights)
-            if wsum <= 0.0:
-                continue
-            step = remaining[link] / wsum
+        for link in live_links:
+            step = remaining[link] / wsum[link]
             if dt is None or step < dt:
                 dt = step
-        for i in range(n):
-            if not active[i] or demands[i] is None:
-                continue
+        for i in capped:
             step = (demands[i] - rates[i]) / weights[i]
             if dt is None or step < dt:
                 dt = step
         if dt is None:
             # Only unbounded flows crossing no links remain: nothing
             # constrains them.  Freeze at infinity.
-            for i in range(n):
-                if active[i]:
-                    rates[i] = float("inf")
-                    active[i] = False
+            for i in live:
+                rates[i] = float("inf")
             break
         dt = max(dt, 0.0)
 
         if dt > 0.0:
-            for i in range(n):
-                if active[i]:
-                    rates[i] += weights[i] * dt
-            for link in ordered_links:
-                wsum = _active_weight(link_flows[link], active, weights)
-                if wsum > 0.0:
-                    remaining[link] -= wsum * dt
+            for i in live:
+                rates[i] += weights[i] * dt
+            for link in live_links:
+                remaining[link] -= wsum[link] * dt
 
         # Freeze: first flows that met their demand, then flows crossing
         # a saturated link.  At least one flow freezes per round (the
         # minimizing constraint is met with equality), so the loop
         # terminates after at most n rounds.
-        froze = False
-        for i in range(n):
-            if (active[i] and demands[i] is not None
-                    and rates[i] >= demands[i] - abs(demands[i]) * _REL_EPS):
+        frozen: List[int] = []
+        for i in capped:
+            if rates[i] >= demands[i] - abs(demands[i]) * _REL_EPS:
                 rates[i] = demands[i]
                 active[i] = False
-                froze = True
-        for link in ordered_links:
-            cap = float(capacity[link])
-            if remaining[link] <= cap * _REL_EPS:
+                frozen.append(i)
+        for link in live_links:
+            if remaining[link] <= caps[link] * _REL_EPS:
                 remaining[link] = max(remaining[link], 0.0)
                 for i in link_flows[link]:
                     if active[i]:
                         active[i] = False
-                        froze = True
-        if not froze:
+                        frozen.append(i)
+        if not frozen:
             # Numerical corner: dt rounded to zero without meeting any
             # constraint exactly (e.g. a denormal demand gap whose step
             # underflows).  Freeze the tightest constraint outright —
             # a demand-capped flow whose gap underflowed, else the
             # tightest link.
             demand_gap, demand_idx = None, None
-            for i in range(n):
-                if not active[i] or demands[i] is None:
-                    continue
+            for i in capped:
                 gap = (demands[i] - rates[i]) / weights[i]
                 if demand_gap is None or gap < demand_gap:
                     demand_gap, demand_idx = gap, i
             tightest = min(
-                (link for link in ordered_links
-                 if _active_weight(link_flows[link], active, weights) > 0.0),
+                live_links,
                 key=lambda link: (remaining[link], repr(link)),
                 default=None,
             )
@@ -160,12 +154,21 @@ def max_min_allocation(
                     tightest is None or demand_gap <= remaining[tightest]):
                 rates[demand_idx] = demands[demand_idx]
                 active[demand_idx] = False
+                frozen.append(demand_idx)
             elif tightest is not None:
                 for i in link_flows[tightest]:
-                    active[i] = False
+                    if active[i]:
+                        active[i] = False
+                        frozen.append(i)
             else:
                 break
-        n_active = sum(active)
+
+        touched = {link for i in frozen for link in flow_links[i]}
+        for link in touched:
+            wsum[link] = _active_weight(link_flows[link], active, weights)
+        live_links = [link for link in live_links if wsum[link] > 0.0]
+        live = [i for i in live if active[i]]
+        capped = [i for i in capped if active[i]]
     return rates
 
 

@@ -22,7 +22,10 @@ Fidelity anchors (what stays *identical* to the packet engine):
   switch state — ``l2_table``, ECMP groups (including per-(flow, cell)
   leaf hashing) and ``FailoverGroup.reroute`` with its hardware
   latency — so shadow-MAC trees, backup paths and blackhole windows
-  behave exactly as a packet would see them.
+  behave exactly as a packet would see them.  Those tables change only
+  at build time or on a link event, so a pipe's path is re-walked only
+  from a link event until its failover latency has elapsed, and reused
+  otherwise (a validated run re-walks reused paths to check this).
 * **Fairness.**  Pipe weights are byte *fractions* of their transfer
   (they sum to 1 per transfer), so a Presto elephant sprayed over four
   trees competes at a shared access link as one flow, not four — the
@@ -204,9 +207,14 @@ class FluidEngine:
         self._realloc_times: set = set()
         self._reslice_pending = False
         self._watching = False
+        #: pipe paths are re-resolved until this time (a link event plus
+        #: the failover latency); outside that window the forwarding
+        #: state they were resolved from cannot have changed
+        self._reroute_until = -1
         #: counters surfaced via telemetry and the compare report
         self.reallocs = 0
         self.slices = 0
+        self.path_resolves = 0
         self.violations: List[str] = []
 
     # --- wiring -----------------------------------------------------------
@@ -223,6 +231,8 @@ class FluidEngine:
             link.on_state_change.append(self._on_link_change)
 
     def _on_link_change(self, link) -> None:
+        self._reroute_until = max(self._reroute_until,
+                                  self.sim.now + self.failover_latency_ns)
         self.request_realloc(0)
         if self.failover_latency_ns > 0:
             self.request_realloc(self.failover_latency_ns)
@@ -347,6 +357,7 @@ class FluidEngine:
         port-name path host→…→host, or None if the packet would
         blackhole (down link with no engaged backup, no route, or a
         forwarding loop)."""
+        self.path_resolves += 1
         leaf_port = self.topo.host_port.get(src)
         if leaf_port is None:
             return None
@@ -434,12 +445,14 @@ class FluidEngine:
             self._reslice_pending = False
             for transfer in self._active:
                 self._slice_transfer(transfer)
-        else:
+        elif now <= self._reroute_until:
             for transfer in self._active:
                 for pipe in transfer.pipes:
                     pipe.path = self.resolve_path(
                         transfer.src, transfer.dst, pipe.flow_id,
                         pipe.dst_mac, pipe.flowcell_id, now)
+        elif self.validate:
+            self._check_reused_paths(now)
 
         entries = []   # allocator input
         routed = []    # pipes aligned with entries
@@ -461,6 +474,21 @@ class FluidEngine:
         for transfer in self._active:
             self._schedule_completion(transfer, now)
         self.reallocs += 1
+
+    def _check_reused_paths(self, now: int) -> None:
+        """Paths are reused outside a link event's failover window
+        (L2/ECMP tables change only at build time, failover groups only
+        on link events); re-walk each one and flag any that moved."""
+        for transfer in self._active:
+            for pipe in transfer.pipes:
+                path = self.resolve_path(
+                    transfer.src, transfer.dst, pipe.flow_id,
+                    pipe.dst_mac, pipe.flowcell_id, now)
+                if path != pipe.path:
+                    self.violations.append(
+                        f"t={now}: reused path of flow {pipe.flow_id} "
+                        f"label {pipe.dst_mac:#x} is {pipe.path}, but the "
+                        f"switch tables now give {path}")
 
     def _check_allocation(self, entries, rates, capacity) -> None:
         used: Dict[str, float] = {}

@@ -288,8 +288,7 @@ class FluidTestbed(Testbed):
             failover_latency_ns=cfg.failover_latency_ns,
             validate=bool(cfg.validate))
         self.controller = PrestoController(self.topo)
-        for host in self.hosts:
-            self.controller.register_vswitch(host.lb)
+        self.controller.register_vswitch(*(host.lb for host in self.hosts))
         self.topo.install_underlay(
             leaf_hash_mode=self.scheme_def.leaf_hash_mode)
         self._wrap_schedules()
@@ -425,6 +424,7 @@ class FluidTestbed(Testbed):
             stats={
                 "fluid_transfers": len(self.engine.transfers),
                 "fluid_reallocs": self.engine.reallocs,
+                "fluid_path_resolves": self.engine.path_resolves,
                 "fluid_slices": self.engine.slices,
             },
         )
@@ -433,6 +433,8 @@ class FluidTestbed(Testbed):
 
     def _fluid_sampler(self, reg) -> None:
         reg.counter("fluid.reallocs").record_total(self.engine.reallocs)
+        reg.counter("fluid.path_resolves").record_total(
+            self.engine.path_resolves)
         reg.counter("fluid.slices").record_total(self.engine.slices)
         reg.counter("fluid.transfers").record_total(
             len(self.engine.transfers))

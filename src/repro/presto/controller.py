@@ -16,7 +16,7 @@ Responsibilities (paper S3.1 and S3.3):
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.addresses import (
     host_mac,
@@ -66,10 +66,21 @@ class PrestoController:
     def schedule_for(self, src_host: int, dst_host: int) -> List[int]:
         """Ordered label list ``src_host`` should round-robin toward
         ``dst_host``, with duplicates expressing weights."""
-        src_leaf = self.topo.host_leaf[src_host]
-        dst_leaf = self.topo.host_leaf[dst_host]
+        order = self._tree_order(self.topo.host_leaf[src_host],
+                                 self.topo.host_leaf[dst_host])
+        return _labels(order, dst_host)
+
+    def _tree_order(self, src_leaf: Switch,
+                    dst_leaf: Switch) -> Optional[List[int]]:
+        """Interleaved tree ids for a leaf pair (duplicates expressing
+        weights), or None when both hosts sit on the same edge switch.
+
+        The schedule depends on the hosts only through their leaves:
+        for a fixed destination host ``shadow_mac`` is monotone in the
+        tree id, so interleaving ids orders labels exactly as
+        interleaving the labels themselves would."""
         if src_leaf is dst_leaf or not self.topo.spines:
-            return [host_mac(dst_host)]
+            return None
         weights = [(t, self.tree_weight(t, src_leaf, dst_leaf)) for t in self.trees]
         usable = [(t, w) for t, w in weights if w > 0]
         if not usable:
@@ -77,30 +88,42 @@ class PrestoController:
             # in the fabric, which is what a real blackhole looks like.
             usable = [(t, 1.0) for t in self.trees]
         min_w = min(w for _, w in usable)
-        schedule: List[int] = []
+        order: List[int] = []
         for tree, w in usable:
             copies = max(1, int(round(w / min_w)))
-            schedule.extend([shadow_mac(tree.tree_id, dst_host)] * copies)
-        return _interleave_schedule(schedule)
+            order.extend([tree.tree_id] * copies)
+        return _interleave_schedule(order)
 
     # --- vSwitch management ------------------------------------------------------
 
-    def register_vswitch(self, lb) -> None:
-        """Track a host's LoadBalancer and push current schedules to it."""
-        self._vswitches.append(lb)
-        self.push_schedules(lb)
+    def register_vswitch(self, *lbs) -> None:
+        """Track hosts' LoadBalancers and push current schedules to them."""
+        self._vswitches.extend(lbs)
+        self._push(lbs)
 
     def push_schedules(self, lb) -> None:
-        for dst_host in self.topo.hosts:
-            if dst_host == lb.host_id:
-                continue
-            lb.set_schedule(dst_host, self.schedule_for(lb.host_id, dst_host))
+        self._push((lb,))
 
     def push_all(self) -> None:
         """Recompute and push schedules to every registered vSwitch —
         the controller's reaction to topology change (weighted stage)."""
-        for lb in self._vswitches:
-            self.push_schedules(lb)
+        self._push(self._vswitches)
+
+    def _push(self, lbs) -> None:
+        """Push every destination's schedule to each of ``lbs``.  Tree
+        orders are computed once per leaf pair; the memo lives for this
+        push only, so it always reflects the live link state."""
+        host_leaf = self.topo.host_leaf
+        orders: Dict[Tuple[Switch, Switch], Optional[List[int]]] = {}
+        for lb in lbs:
+            src_leaf = host_leaf[lb.host_id]
+            for dst_host in self.topo.hosts:
+                if dst_host == lb.host_id:
+                    continue
+                key = (src_leaf, host_leaf[dst_host])
+                if key not in orders:
+                    orders[key] = self._tree_order(*key)
+                lb.set_schedule(dst_host, _labels(orders[key], dst_host))
 
     # --- failure handling ----------------------------------------------------------
 
@@ -168,6 +191,14 @@ class PrestoController:
         whole live topology) and is kept only for call compatibility.
         """
         self.push_all()
+
+
+def _labels(order: Optional[List[int]], dst_host: int) -> List[int]:
+    """Labels toward ``dst_host`` for a leaf pair's tree order (the
+    host's real MAC when the pair shares an edge switch)."""
+    if order is None:
+        return [host_mac(dst_host)]
+    return [shadow_mac(tree_id, dst_host) for tree_id in order]
 
 
 def _relabel_to_tree(tree_id: int):

@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--validate", action="store_true",
         help="arm the spanning-tree oracle in every cell: trees must "
-             "reach every host and stay link-disjoint (fabric sweep only)",
+             "reach every host and stay link-disjoint; also arms the "
+             "engine's always-on invariants (fabric sweep only)",
     )
     run.add_argument(
         "--warm-ms", type=float, default=15.0,

@@ -9,6 +9,7 @@ from repro.net.topology import build_clos, build_single_switch
 from repro.presto.controller import PrestoController, _interleave_schedule
 from repro.presto.vswitch import PrestoLb
 from repro.sim.engine import Simulator
+from repro.units import gbps
 
 
 def build(n_spines=4, n_leaves=2, hosts_per_leaf=2):
@@ -183,3 +184,46 @@ def test_disconnected_pair_falls_back_to_all_trees():
     schedule = controller.schedule_for(0, 2)
     assert len(schedule) == 4
     assert {shadow_mac_tree(m) for m in schedule} == {0, 1, 2, 3}
+
+
+def _installed_matches_schedule_for(controller, hosts):
+    for host in hosts:
+        for dst in controller.topo.hosts:
+            if dst != host.host_id:
+                assert (host.lb.labels_for(dst)
+                        == controller.schedule_for(host.host_id, dst))
+
+
+def test_push_all_installs_schedule_for_after_every_link_change():
+    """A push computes each leaf pair's order once, but what it installs
+    must equal the per-pair schedule_for after a failure, a set_rate
+    degrade and a raw rate write alike."""
+    _, topo, controller, hosts = build(n_leaves=3, hosts_per_leaf=2)
+    _installed_matches_schedule_for(controller, hosts)
+    steps = [
+        lambda: next(l for l in topo.links if l.name == "L1--S1").set_down(),
+        lambda: next(l for l in topo.links
+                     if l.name == "L2--S3").set_rate(gbps(5)),
+        lambda: setattr(next(l for l in topo.links if l.name == "L3--S2"),
+                        "rate_bps", gbps(2.5)),
+    ]
+    before = hosts[0].lb.labels_for(2)
+    for step in steps:
+        step()
+        controller.push_all()
+        _installed_matches_schedule_for(controller, hosts)
+    assert hosts[0].lb.labels_for(2) != before
+
+
+def test_register_vswitch_variadic_matches_single_calls():
+    _, topo, _, _ = build(n_leaves=3, hosts_per_leaf=2)
+    next(l for l in topo.links if l.name == "L1--S2").set_rate(gbps(5))
+    together = [PrestoLb(0), PrestoLb(2)]
+    PrestoController(topo).register_vswitch(*together)
+    singles = [PrestoLb(0), PrestoLb(2)]
+    controller = PrestoController(topo)
+    for lb in singles:
+        controller.register_vswitch(lb)
+    for a, b in zip(together, singles):
+        for dst in topo.hosts:
+            assert a.labels_for(dst) == b.labels_for(dst)

@@ -14,6 +14,7 @@ agreement gate and the >=20x speedup floor.
 import json
 import math
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.experiments.synthetic import run_synthetic_seed
 from repro.fluid.testbed import FluidTestbed
 from repro.runner import collect_results, run_jobs, to_jsonable
 from repro.runner.serialize import content_hash
-from repro.units import KB, msec
+from repro.units import KB, msec, usec
 
 # --- satellite 1: omit-if-default serialization ------------------------------
 
@@ -150,6 +151,52 @@ def test_fluid_failover_timeline_phases():
     assert phases["failover"] == pytest.approx(7.5e9, rel=0.05)
     assert phases["weighted"] == pytest.approx(7.5e9, rel=0.05)
     assert tl.convergence.time_to_rebalance_ns is not None
+
+
+def test_fluid_pipe_paths_follow_failover_latency():
+    """Pipe paths are reused between link events, so the one event that
+    moves them must land exactly: a pipe on the failed uplink blackholes
+    until ``failure + latency`` and rides the backup uplink from that
+    instant.  The validated run re-walks every reused path and must
+    report no violation."""
+    latency, t_fail = usec(300), msec(1)
+    cfg = replace(scalability_config("presto", 4, seed=1, fidelity="flow"),
+                  validate=True, failover_latency_ns=latency)
+    tb = Testbed(cfg)
+    tb.controller.enable_fast_failover(latency)
+    elephant = tb.add_elephant(0, 4)
+    # mice keep reallocating before, inside and after the window
+    tb.add_mice(1, 5, size_bytes=20 * KB, interval_ns=usec(200))
+    link = next(l for l in tb.topo.links if l.name == "L1--S1")
+    tb.sim.schedule(t_fail, link.set_down)
+    engine = tb.engine
+    snapshots = []
+    realloc = engine._realloc
+
+    def recording_realloc():
+        realloc()
+        snapshots.append((tb.sim.now,
+                          [(p.path, p.rate) for p in elephant.pipes]))
+
+    engine._realloc = recording_realloc
+    tb.run(msec(2))
+
+    before = next(paths for t, paths in snapshots if t >= usec(100))
+    [victim] = [i for i, (path, _) in enumerate(before) if "L1->S1" in path]
+    # the leaf's backup for its S1 uplink is the S2 uplink, and S2
+    # routes the unchanged label down to the destination
+    backup = tuple(leg.replace("S1", "S2") for leg in before[victim][0])
+    window = [paths[victim] for t, paths in snapshots
+              if t_fail <= t < t_fail + latency]
+    after = [(t, paths[victim]) for t, paths in snapshots
+             if t >= t_fail + latency]
+    assert len(window) > 1 and all(v == (None, 0.0) for v in window)
+    assert after[0][0] == t_fail + latency
+    assert len(after) > 1 and all(v[0] == backup and v[1] > 0.0
+                                  for _, v in after)
+    assert engine.violations == []
+    assert tb.last_invariant_report.stats["fluid_path_resolves"] \
+        == engine.path_resolves > 0
 
 
 # --- satellite 3: serial vs parallel byte-identical --------------------------

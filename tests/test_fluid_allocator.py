@@ -167,3 +167,149 @@ def test_input_validation():
     with pytest.raises(ValueError):
         max_min_allocation([(("A",), 1.0, None)], {"A": -1.0})
     assert max_min_allocation([], {"A": 1.0}) == []
+
+
+# --- equivalence with the recompute-everything reference ----------------
+
+def reference_allocation(flows, capacity):
+    """Progressive filling that re-reduces every link's active weight in
+    every round (the allocator before link sums were cached).  Kept as
+    the oracle the incremental allocator must match bit for bit."""
+    n = len(flows)
+    rates = [0.0] * n
+    if n == 0:
+        return rates
+    link_flows, demands, weights = {}, [], []
+    for i, (links, weight, demand) in enumerate(flows):
+        weights.append(float(weight))
+        demands.append(None if demand is None else float(demand))
+        for link in set(links):
+            link_flows.setdefault(link, []).append(i)
+    remaining = {link: float(capacity[link]) for link in link_flows}
+    ordered_links = sorted(link_flows, key=repr)
+
+    def active_weight(link):
+        total = 0.0
+        for value in sorted(weights[i] for i in link_flows[link]
+                            if active[i]):
+            total += value
+        return total
+
+    active = [True] * n
+    while sum(active):
+        dt = None
+        for link in ordered_links:
+            wsum = active_weight(link)
+            if wsum <= 0.0:
+                continue
+            step = remaining[link] / wsum
+            if dt is None or step < dt:
+                dt = step
+        for i in range(n):
+            if not active[i] or demands[i] is None:
+                continue
+            step = (demands[i] - rates[i]) / weights[i]
+            if dt is None or step < dt:
+                dt = step
+        if dt is None:
+            for i in range(n):
+                if active[i]:
+                    rates[i] = float("inf")
+                    active[i] = False
+            break
+        dt = max(dt, 0.0)
+        if dt > 0.0:
+            for i in range(n):
+                if active[i]:
+                    rates[i] += weights[i] * dt
+            for link in ordered_links:
+                wsum = active_weight(link)
+                if wsum > 0.0:
+                    remaining[link] -= wsum * dt
+        froze = False
+        for i in range(n):
+            if (active[i] and demands[i] is not None
+                    and rates[i] >= demands[i] - abs(demands[i]) * 1e-12):
+                rates[i] = demands[i]
+                active[i] = False
+                froze = True
+        for link in ordered_links:
+            if remaining[link] <= float(capacity[link]) * 1e-12:
+                remaining[link] = max(remaining[link], 0.0)
+                for i in link_flows[link]:
+                    if active[i]:
+                        active[i] = False
+                        froze = True
+        if not froze:
+            demand_gap, demand_idx = None, None
+            for i in range(n):
+                if not active[i] or demands[i] is None:
+                    continue
+                gap = (demands[i] - rates[i]) / weights[i]
+                if demand_gap is None or gap < demand_gap:
+                    demand_gap, demand_idx = gap, i
+            tightest = min(
+                (link for link in ordered_links if active_weight(link) > 0.0),
+                key=lambda link: (remaining[link], repr(link)),
+                default=None,
+            )
+            if demand_idx is not None and (
+                    tightest is None or demand_gap <= remaining[tightest]):
+                rates[demand_idx] = demands[demand_idx]
+                active[demand_idx] = False
+            elif tightest is not None:
+                for i in link_flows[tightest]:
+                    active[i] = False
+            else:
+                break
+    return rates
+
+
+@st.composite
+def edge_case(draw):
+    """(flows, capacity) reaching the corners the incremental
+    bookkeeping must get right: zero-capacity links, flows crossing no
+    link, zero demand caps, a link listed twice in one flow, and many
+    flows sharing few links (long filling sequences)."""
+    n_links = draw(st.integers(1, len(LINKS)))
+    links = LINKS[:n_links]
+    capacity = {
+        link: draw(st.one_of(st.just(0.0), st.just(10.0),
+                             st.floats(0.125, 100.0, allow_nan=False)))
+        for link in links
+    }
+    flows = []
+    for _ in range(draw(st.integers(0, 16))):
+        path = draw(st.lists(st.sampled_from(links), max_size=4))
+        weight = draw(st.one_of(st.just(1.0), st.just(0.25),
+                                st.floats(0.1, 8.0, allow_nan=False)))
+        demand = draw(st.one_of(st.none(), st.just(0.0),
+                                st.floats(0.0, 50.0, allow_nan=False)))
+        flows.append((tuple(path), weight, demand))
+    return flows, capacity
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(allocation_case(), edge_case()))
+def test_matches_recompute_everything_reference(case):
+    """Caching link weight sums changes no bit of any rate, ``inf``
+    included."""
+    flows, capacity = case
+    assert max_min_allocation(flows, capacity) == reference_allocation(
+        flows, capacity)
+
+
+def test_reference_corners_pinned():
+    """The edge cases the property test draws, spelled out once."""
+    flows = [
+        (("A", "A"), 1.0, None),   # duplicate link in one flow
+        ((), 1.0, None),           # linkless, unbounded
+        ((), 1.0, 3.0),            # linkless, capped
+        (("Z",), 1.0, None),       # zero-capacity link
+        (("A",), 2.0, 0.0),        # zero demand
+        (("A", "B"), 1.0, None),
+    ]
+    capacity = {"A": 10.0, "B": 2.0, "Z": 0.0}
+    rates = max_min_allocation(flows, capacity)
+    assert rates == reference_allocation(flows, capacity)
+    assert rates == [8.0, float("inf"), 3.0, 0.0, 0.0, 2.0]
